@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench bench-10m bench-compare fuzz experiments examples clean
+.PHONY: all check fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench-selftest bench bench-10m bench-compare fuzz experiments examples clean
 
 all: check
 
@@ -14,8 +14,9 @@ all: check
 # sharded kernel's cross-shard fingerprint parity, the steering
 # backends' cross-backend parity and table-pressure accounting, the
 # mobility/handover path's gap accounting and shard parity, and the
-# latency-attribution engine's exact-decomposition and parity gates).
-check: fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib
+# latency-attribution engine's exact-decomposition and parity gates), plus
+# the repo benchmark's own build and tests.
+check: fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench-selftest
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -50,11 +51,13 @@ race-obs:
 	$(GO) test -race -count 1 -run 'TestTracedFingerprintParity|TestReplayScaleResultParity|TestReplayScaleSpanCount' ./internal/experiments
 
 # Sharded-kernel gate under the race detector: shard-group window workers,
-# the cross-shard fabric, and the serial-vs-sharded replay fingerprint
-# parity checks (including traced and fault-injected runs).
+# the cross-shard fabric, the serial-vs-sharded replay fingerprint parity
+# checks (including traced and fault-injected runs), the golden replay
+# fingerprints, and request timeouts under link loss.
 race-shard:
 	$(GO) test -race -count 1 -run 'TestShardGroup|TestFabric' ./internal/sim ./internal/simnet
 	$(GO) test -race -count 1 -run 'TestReplayShard' ./internal/experiments
+	$(GO) test -race -count 1 -run 'TestReplayParityFig9|TestReplayShardedTimeoutUnderLinkLoss' ./internal/workload
 
 # Steering-backend gate under the race detector: openflow-vs-srsteer
 # decision/outcome parity on the fig. 9 trace, the sweep's O(1)-vs-O(n)
@@ -85,6 +88,13 @@ race-mobility:
 race-attrib:
 	$(GO) test -race -count 1 ./internal/obs/attrib
 	$(GO) test -race -count 1 -run 'TestAttrib|TestWithAttrib|TestKernelStats' ./internal/experiments
+
+# The repo benchmark (perfbench/, a module of its own that root
+# `go test ./...` skips) compiles against the replay API: vet and test it so
+# a change to that API cannot break the benchmark unseen.
+bench-selftest:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Regenerate every table and figure of the paper (plus ablations) and the
 # scale benchmarks, recording machine-readable results. The replay-engine

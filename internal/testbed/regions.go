@@ -303,9 +303,11 @@ func (rs *Regions) Handover(region, cli, to int) {
 	r.gnbOf[cli] = to
 }
 
-// Request issues one measured request from a region's client to a service
-// registered at that region. It must run on the region's kernel.
-func (rs *Regions) Request(p *sim.Proc, region, cli int, reg spec.Registration, key string, timeout time.Duration) (*simnet.HTTPResult, error) {
+// RequestAsync issues one measured request from a region's client to a
+// service registered at that region without blocking a process, like
+// Testbed.RequestAsync: done runs inside the completion event. It must run
+// on the region's kernel.
+func (rs *Regions) RequestAsync(region, cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error)) {
 	r := rs.Sites[region]
-	return r.Clients[cli%len(r.Clients)].HTTPGet(p, reg.VIP, reg.Port, catalog.Request(key), timeout)
+	r.Clients[cli%len(r.Clients)].HTTPGetAsync(reg.VIP, reg.Port, catalog.Request(key), timeout, done)
 }

@@ -556,8 +556,7 @@ func (tb *Testbed) Request(p *sim.Proc, cli int, reg spec.Registration, key stri
 
 // RequestAsync issues the same measured request as Request without blocking
 // a process: done runs inside the completion event. This is the replay
-// engine's hot path — both replay strategies route through it, which is what
-// keeps them bit-identical to each other.
+// engine's request path.
 func (tb *Testbed) RequestAsync(cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error)) {
 	tb.Clients[cli].HTTPGetAsync(reg.VIP, reg.Port, catalog.Request(key), timeout, done)
 }

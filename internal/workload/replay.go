@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"transparentedge/internal/core"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
@@ -40,16 +41,10 @@ type Options struct {
 	// PrePull / PreCreate run the fig. 11 warm conditions before t=0.
 	PrePull   bool
 	PreCreate bool
-	// GoroutinePerRequest selects the legacy strategy that spawns one
-	// parked process per request up front. The default (false) schedules
-	// arrivals as kernel events and spawns each request's process lazily at
-	// its arrival time, keeping memory flat in trace length. Both
-	// strategies produce identical results at the same seed.
-	GoroutinePerRequest bool
-	// MaxInFlight bounds concurrently executing requests in event-driven
-	// mode (0 = unlimited). Arrivals beyond the cap queue FIFO and start as
-	// running requests finish; their measured latency still spans arrival
-	// to completion, so queueing shows up in the totals.
+	// MaxInFlight bounds concurrently executing requests (0 = unlimited).
+	// Arrivals beyond the cap queue FIFO and start as running requests
+	// finish; their measured latency still spans arrival to completion, so
+	// queueing shows up in the totals.
 	MaxInFlight int
 	// ExactSamples is the per-series sample threshold beyond which result
 	// series fold into fixed-memory histograms. 0 means
@@ -60,10 +55,12 @@ type Options struct {
 	RequestTimeout time.Duration
 	// Trace, when set, emits one "request" root span per replayed request
 	// (arrival to completion, Err on failure) — so a replay's span count for
-	// that name equals the request count. Nil = off at zero cost.
+	// that name equals the request count. Nil = off at zero cost. Single-site
+	// replays only: sharded replays trace per region (see ReplaySharded).
 	Trace *obs.Tracer
 	// Counters, when set, registers replay_inflight (gauge, with high-water
-	// mark) and replay_errors_total. Nil = off at zero cost.
+	// mark) and replay_errors_total. Nil = off at zero cost. Single-site
+	// replays only, like Trace.
 	Counters *obs.Registry
 	// Handovers is a mobility schedule replayed alongside the trace: each
 	// event fires at the replay anchor plus its At, on its own monotone
@@ -78,17 +75,16 @@ type Options struct {
 }
 
 // replayObs bundles the replay layer's resolved obs handles; the zero value
-// (obs off) no-ops everywhere, so both replay strategies instrument
-// unconditionally.
+// (obs off) no-ops everywhere, so the engine instruments unconditionally.
 type replayObs struct {
 	tr   *obs.Tracer
 	in   *obs.Gauge
 	errs *obs.Counter
 }
 
-func newReplayObs(opts Options) replayObs {
-	o := replayObs{tr: opts.Trace}
-	if reg := opts.Counters; reg != nil {
+func newReplayObs(tr *obs.Tracer, reg *obs.Registry) replayObs {
+	o := replayObs{tr: tr}
+	if reg != nil {
 		o.in = reg.Gauge("replay_inflight")
 		o.errs = reg.Counter("replay_errors_total")
 	}
@@ -117,7 +113,7 @@ func (o replayObs) request(at, end sim.Time, serviceKey string, err error) {
 // optionally pre-pulls and pre-creates them (the fig. 11 warm conditions),
 // then replays the trace: every request is issued from its client at its
 // arrival time and measured end to end. It is shorthand for ReplayWith with
-// the default event-driven options.
+// default options.
 func Replay(tb *testbed.Testbed, trace *Trace, serviceKey string, prePull, preCreate bool) (*ReplayResult, error) {
 	return ReplayWith(tb, trace, serviceKey, Options{PrePull: prePull, PreCreate: preCreate})
 }
@@ -128,54 +124,105 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 	if len(tb.Clients) == 0 {
 		return nil, fmt.Errorf("workload: testbed has no clients")
 	}
+	if err := checkTrace(trace); err != nil {
+		return nil, err
+	}
+	s := site{
+		k:        tb.K,
+		ctrl:     tb.Ctrl,
+		register: tb.RegisterCatalogService,
+		request: func(cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error)) {
+			tb.RequestAsync(cli%len(tb.Clients), reg, key, timeout, done)
+		},
+		obs: newReplayObs(opts.Trace, opts.Counters),
+	}
+	res, err := s.stage(trace.Requests, trace.Config.Services, serviceKey, serviceKey, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Run until all requests completed (generous bound: trace duration
+	// plus slack for trailing deployments).
+	tb.K.RunUntil(trace.Config.Duration + 30*time.Minute)
+	return res, nil
+}
+
+// checkTrace rejects traces the engine cannot replay.
+func checkTrace(trace *Trace) error {
 	if trace == nil || trace.Config.Services <= 0 {
-		return nil, fmt.Errorf("workload: trace has no services")
+		return fmt.Errorf("workload: trace has no services")
 	}
 	for i, r := range trace.Requests {
 		if r.Service < 0 || r.Service >= trace.Config.Services {
-			return nil, fmt.Errorf("workload: request %d references service %d outside [0,%d)",
+			return fmt.Errorf("workload: request %d references service %d outside [0,%d)",
 				i, r.Service, trace.Config.Services)
 		}
 		if r.Client < 0 {
-			return nil, fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
+			return fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
 		}
 	}
+	return nil
+}
 
+// site is one replay target — a whole testbed, or one region of a sharded
+// scenario — reduced to what differs between the two. The replay engine
+// (stage) does everything else once for both.
+type site struct {
+	k *sim.Kernel
+	// ctrl's clusters are the ones preparation pre-pulls and pre-creates.
+	ctrl     *core.Controller
+	register func(key string) (*spec.Annotated, spec.Registration, error)
+	// request issues one measured request from trace client cli without
+	// blocking; done runs inside the completion event.
+	request func(cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error))
+	obs     replayObs
+	// keep filters the handover schedule (nil = all).
+	keep func(h Handover) bool
+}
+
+// stage registers services instances of serviceKey at the site and
+// schedules the replay of reqs on the site's kernel; the caller runs the
+// kernel, and the returned result fills in as it does. Preparation
+// (pre-pull/pre-create) runs first as one process, and the trace's t=0 is
+// anchored at its end so arrival spacing is preserved. Then the handover
+// lane and the whole arrival schedule are staged as monotone event batches
+// (O(n), no heap churn), and each request runs on the callback-mode request
+// core — no process, channel or promise per request — so peak memory tracks
+// in-flight requests and the steady-state request path stays under ten
+// allocations. name prefixes the result series.
+func (s *site) stage(reqs []Request, services int, name, serviceKey string, opts Options) (*ReplayResult, error) {
 	exact := opts.ExactSamples
 	if exact == 0 {
 		exact = DefaultExactSamples
 	}
-	newSeries := func(name string) *metrics.Series {
+	newSeries := func(n string) *metrics.Series {
 		if exact < 0 {
-			return metrics.NewSeries(name)
+			return metrics.NewSeries(n)
 		}
-		return metrics.NewBoundedSeries(name, exact)
+		return metrics.NewBoundedSeries(n, exact)
 	}
 	res := &ReplayResult{
-		Totals:        newSeries(serviceKey + "/totals"),
-		FirstRequests: newSeries(serviceKey + "/first"),
+		Totals:        newSeries(name + "/totals"),
+		FirstRequests: newSeries(name + "/first"),
+		Registrations: make([]spec.Registration, services),
 	}
-	regs := make([]spec.Registration, trace.Config.Services)
-	annotated := make([]*spec.Annotated, trace.Config.Services)
-	for i := 0; i < trace.Config.Services; i++ {
-		a, reg, err := tb.RegisterCatalogService(serviceKey)
+	regs := res.Registrations
+	annotated := make([]*spec.Annotated, services)
+	for i := range regs {
+		a, reg, err := s.register(serviceKey)
 		if err != nil {
 			return nil, err
 		}
 		regs[i] = reg
 		annotated[i] = a
 	}
-	res.Registrations = regs
 
-	// Preparation (pre-pull/pre-create) runs first; the trace's t=0 is
-	// then anchored at preparation end so arrival spacing is preserved.
-	prepDone := sim.NewPromise[sim.Time](tb.K)
-	tb.K.Go("prepare", func(p *sim.Proc) {
+	prepDone := sim.NewPromise[sim.Time](s.k)
+	s.k.Go("prepare", func(p *sim.Proc) {
 		defer func() { prepDone.Resolve(p.Now()) }()
 		if !opts.PrePull && !opts.PreCreate {
 			return
 		}
-		for _, cl := range tb.Ctrl.Clusters() {
+		for _, cl := range s.ctrl.Clusters() {
 			for _, a := range annotated {
 				if err := cl.Pull(p, a); err != nil {
 					res.Errors++
@@ -191,36 +238,73 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 		}
 	})
 
-	stageHandovers(tb.K, opts, prepDone, nil)
+	s.stageHandovers(opts, prepDone)
 
-	ro := newReplayObs(opts)
-	if opts.GoroutinePerRequest {
-		replayGoroutines(tb, trace, res, regs, serviceKey, opts, prepDone, ro)
-	} else {
-		replayEvents(tb, trace, res, regs, serviceKey, opts, prepDone, ro)
+	firstSeen := make(map[int]bool, services)
+	isFirst := make([]bool, len(reqs))
+	for i, r := range reqs {
+		isFirst[i] = !firstSeen[r.Service]
+		firstSeen[r.Service] = true
 	}
 
-	// Run until all requests completed (generous bound: trace duration
-	// plus slack for trailing deployments).
-	tb.K.RunUntil(trace.Config.Duration + 30*time.Minute)
+	inFlight := 0
+	var queued []int // arrival-order indices waiting on the in-flight cap
+	var start func(i int, at sim.Time)
+	start = func(i int, at sim.Time) {
+		inFlight++
+		s.obs.in.Add(1)
+		r := reqs[i]
+		s.request(r.Client, regs[r.Service], serviceKey, opts.RequestTimeout,
+			func(hr *simnet.HTTPResult, err error) {
+				inFlight--
+				s.obs.in.Add(-1)
+				s.obs.request(at, s.k.Now(), serviceKey, err)
+				if err != nil {
+					res.Errors++
+				} else {
+					res.Totals.Add(at, hr.Total)
+					if isFirst[i] {
+						res.FirstRequests.Add(at, hr.Total)
+					}
+				}
+				if len(queued) > 0 && (opts.MaxInFlight <= 0 || inFlight < opts.MaxInFlight) {
+					next := queued[0]
+					queued = queued[1:]
+					start(next, s.k.Now())
+				}
+			})
+	}
+
+	prepDone.OnDone(func(t0 sim.Time, _ error) {
+		times := make([]sim.Time, len(reqs))
+		for i, r := range reqs {
+			times[i] = t0 + r.At
+		}
+		s.k.AtBatch(times, func(i int) {
+			if opts.MaxInFlight > 0 && inFlight >= opts.MaxInFlight {
+				queued = append(queued, i)
+				return
+			}
+			start(i, s.k.Now())
+		})
+	})
 	return res, nil
 }
 
 // stageHandovers schedules the mobility lane: once preparation resolves, the
-// whole handover schedule is staged as one monotone event batch anchored at
-// the same t0 as the arrivals. keep filters the schedule (nil = all) — the
-// sharded replay passes a region predicate. Staged before the arrival lane
-// so a handover and an arrival at the same instant order handover-first at
-// every shard count.
-func stageHandovers(k *sim.Kernel, opts Options, prepDone *sim.Promise[sim.Time], keep func(h Handover) bool) {
+// site's share of the handover schedule is staged as one monotone event
+// batch anchored at the same t0 as the arrivals. Staged before the arrival
+// lane so a handover and an arrival at the same instant order handover-first
+// at every shard count.
+func (s *site) stageHandovers(opts Options, prepDone *sim.Promise[sim.Time]) {
 	if len(opts.Handovers) == 0 || opts.ApplyHandover == nil {
 		return
 	}
 	hs := opts.Handovers
-	if keep != nil {
+	if s.keep != nil {
 		hs = nil
 		for _, h := range opts.Handovers {
-			if keep(h) {
+			if s.keep(h) {
 				hs = append(hs, h)
 			}
 		}
@@ -234,106 +318,6 @@ func stageHandovers(k *sim.Kernel, opts Options, prepDone *sim.Promise[sim.Time]
 		for i, h := range hs {
 			times[i] = t0 + h.At
 		}
-		k.AtBatch(times, func(i int) { apply(hs[i]) })
-	})
-}
-
-// replayGoroutines is the legacy strategy: one process per request, spawned
-// up front and parked until its arrival time. O(trace) goroutines and parked
-// stacks — kept behind Options.GoroutinePerRequest for parity checking. The
-// request itself runs on the same callback core as the event strategy (the
-// process just awaits its completion), so the two stay bit-identical.
-func replayGoroutines(tb *testbed.Testbed, trace *Trace, res *ReplayResult,
-	regs []spec.Registration, serviceKey string, opts Options, prepDone *sim.Promise[sim.Time], ro replayObs) {
-	firstSeen := make(map[int]bool, trace.Config.Services)
-	for _, r := range trace.Requests {
-		r := r
-		isFirst := !firstSeen[r.Service]
-		firstSeen[r.Service] = true
-		tb.K.Go("replay", func(p *sim.Proc) {
-			// Wait for preparation, then until this request's arrival
-			// relative to the anchored trace start.
-			t0, _ := prepDone.Await(p)
-			p.SleepUntil(t0 + r.At)
-			at := p.Now()
-			ro.in.Add(1)
-			pr := sim.NewPromise[*simnet.HTTPResult](tb.K)
-			tb.RequestAsync(r.Client%len(tb.Clients), regs[r.Service], serviceKey, opts.RequestTimeout,
-				func(hr *simnet.HTTPResult, err error) {
-					if err != nil {
-						pr.Fail(err)
-						return
-					}
-					pr.Resolve(hr)
-				})
-			hr, err := pr.Await(p)
-			ro.in.Add(-1)
-			ro.request(at, p.Now(), serviceKey, err)
-			if err != nil {
-				res.Errors++
-				return
-			}
-			res.Totals.Add(at, hr.Total)
-			if isFirst {
-				res.FirstRequests.Add(at, hr.Total)
-			}
-		})
-	}
-}
-
-// replayEvents is the event-driven strategy: once preparation resolves, the
-// whole arrival schedule is staged as a monotone event batch (O(n), no
-// heap churn) and each request runs on the callback-mode request core — no
-// process, channel, or promise per request — so peak memory tracks in-flight
-// requests and the steady-state request path stays under ten allocations.
-func replayEvents(tb *testbed.Testbed, trace *Trace, res *ReplayResult,
-	regs []spec.Registration, serviceKey string, opts Options, prepDone *sim.Promise[sim.Time], ro replayObs) {
-	firstSeen := make(map[int]bool, trace.Config.Services)
-	isFirst := make([]bool, len(trace.Requests))
-	for i, r := range trace.Requests {
-		isFirst[i] = !firstSeen[r.Service]
-		firstSeen[r.Service] = true
-	}
-
-	inFlight := 0
-	var queued []int // arrival-order indices waiting on the in-flight cap
-	var start func(i int, at sim.Time)
-	start = func(i int, at sim.Time) {
-		inFlight++
-		ro.in.Add(1)
-		r := trace.Requests[i]
-		tb.RequestAsync(r.Client%len(tb.Clients), regs[r.Service], serviceKey, opts.RequestTimeout,
-			func(hr *simnet.HTTPResult, err error) {
-				inFlight--
-				ro.in.Add(-1)
-				ro.request(at, tb.K.Now(), serviceKey, err)
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Totals.Add(at, hr.Total)
-					if isFirst[i] {
-						res.FirstRequests.Add(at, hr.Total)
-					}
-				}
-				if len(queued) > 0 && (opts.MaxInFlight <= 0 || inFlight < opts.MaxInFlight) {
-					next := queued[0]
-					queued = queued[1:]
-					start(next, tb.K.Now())
-				}
-			})
-	}
-
-	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		times := make([]sim.Time, len(trace.Requests))
-		for i, r := range trace.Requests {
-			times[i] = t0 + r.At
-		}
-		tb.K.AtBatch(times, func(i int) {
-			if opts.MaxInFlight > 0 && inFlight >= opts.MaxInFlight {
-				queued = append(queued, i)
-				return
-			}
-			start(i, tb.K.Now())
-		})
+		s.k.AtBatch(times, func(i int) { apply(hs[i]) })
 	})
 }
